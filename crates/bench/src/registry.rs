@@ -1,6 +1,7 @@
 //! The built-in benchmark cases: one per hot path the workspace cares
-//! about, spanning the optimisers (`tsv3d-core`), the transient engine
-//! (`tsv3d-circuit`) and the reference codecs (`tsv3d-codec`).
+//! about, spanning the switching statistics (`tsv3d-stats`), the
+//! optimisers (`tsv3d-core`), the transient engine (`tsv3d-circuit`) and
+//! the reference codecs (`tsv3d-codec`).
 //!
 //! Each case separates *setup* (problem/netlist/stream construction,
 //! untimed) from the *body* the harness measures. Workloads are fixed
@@ -46,7 +47,8 @@ impl Default for BenchConfig {
 pub struct BenchCase {
     /// Unique name — also the `BENCH_<name>.json` artifact stem.
     pub name: &'static str,
-    /// Subsystem the case exercises (`core`, `circuit`, `codec`).
+    /// Subsystem the case exercises (`stats`, `core`, `circuit`,
+    /// `codec`).
     pub area: &'static str,
     /// One-line description for `tsv3d bench --list`.
     pub about: &'static str,
@@ -57,6 +59,19 @@ pub struct BenchCase {
 /// The full case registry, in execution order.
 pub fn cases() -> Vec<BenchCase> {
     vec![
+        BenchCase {
+            name: "stats_from_stream_w32_100k",
+            area: "stats",
+            about: "switching statistics (Ts, Tc, joint, E{b}) of a 100k-cycle, 32-bit gaussian stream",
+            setup: |_cfg| {
+                let stream = gaussian_stream(32, 1.0e6, 0.5, 100_000, 17);
+                Box::new(move |tel| {
+                    let stats = SwitchingStats::from_stream(&stream);
+                    tel.add("bench.stats_words", stream.len() as u64);
+                    black_box(stats.self_switching(0));
+                })
+            },
+        },
         BenchCase {
             name: "anneal_quick_3x3",
             area: "core",
@@ -445,6 +460,8 @@ mod tests {
     use super::*;
     use crate::harness::{measure, BenchOptions};
 
+    const AREAS: [&str; 4] = ["stats", "core", "circuit", "codec"];
+
     #[test]
     fn registry_names_are_unique_and_area_tagged() {
         let cases = cases();
@@ -455,14 +472,14 @@ mod tests {
         assert_eq!(names.len(), cases.len(), "duplicate case name");
         for case in &cases {
             assert!(
-                ["core", "circuit", "codec"].contains(&case.area),
+                AREAS.contains(&case.area),
                 "unknown area `{}` for `{}`",
                 case.area,
                 case.name
             );
             assert!(!case.about.is_empty());
         }
-        for area in ["core", "circuit", "codec"] {
+        for area in AREAS {
             assert!(
                 cases.iter().any(|c| c.area == area),
                 "no case covers `{area}`"

@@ -211,26 +211,12 @@ pub fn parse_summaries(text: &str) -> Result<Vec<CaseSummary>, String> {
     }
 }
 
-/// The abbreviated git revision of the working tree.
-///
-/// `TSV3D_GIT_REV` overrides (useful in tests and exotic CI); falls
-/// back to `git rev-parse --short HEAD`, then to `unknown` — provenance
-/// stamping must never fail a measurement run.
+/// The abbreviated git revision of the working tree, with `-dirty` when
+/// tracked files differ from it: the same resolver as `/metrics`
+/// ([`tsv3d_telemetry::export::build_git_rev`]), so a scrape and a
+/// ledger row name the same code.
 pub fn git_rev() -> String {
-    if let Ok(rev) = std::env::var("TSV3D_GIT_REV") {
-        if !rev.is_empty() {
-            return rev;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    tsv3d_telemetry::export::build_git_rev().to_string()
 }
 
 fn unix_time_s() -> u64 {

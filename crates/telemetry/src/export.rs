@@ -102,11 +102,14 @@ impl MetricsSnapshot {
     }
 }
 
-/// The build revision `/metrics` advertises, resolved once per process:
-/// the `TSV3D_GIT_REV` environment variable when set (containers and CI
-/// without a `.git`), else `git rev-parse --short HEAD`, else
-/// `"unknown"` — mirroring what the bench reports stamp into the
-/// history ledger, so a scrape and a ledger row can be correlated.
+/// The build revision `/metrics` advertises and the bench reports stamp
+/// into the history ledger, resolved once per process: the
+/// `TSV3D_GIT_REV` environment variable when set (containers and CI
+/// without a `.git`), else `git rev-parse --short HEAD` with `-dirty`
+/// appended unless `git status --porcelain --untracked-files=no` is
+/// empty (so a record never names a commit that lacks the code that
+/// produced it), else `"unknown"` — provenance stamping must never fail
+/// a run.
 pub fn build_git_rev() -> &'static str {
     static REV: std::sync::OnceLock<String> = std::sync::OnceLock::new();
     REV.get_or_init(|| {
@@ -116,16 +119,32 @@ pub fn build_git_rev() -> &'static str {
                 return rev;
             }
         }
-        std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string())
+        let git = |args: &[&str]| {
+            std::process::Command::new("git")
+                .args(args)
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+                .map(|s| s.trim().to_string())
+        };
+        stamp_rev(git(&["rev-parse", "--short", "HEAD"]), || {
+            git(&["status", "--porcelain", "--untracked-files=no"])
+        })
     })
+}
+
+/// Names a revision from `git rev-parse` output and (asked only when
+/// there is a revision) `git status --porcelain` output: `-dirty` unless
+/// the status is known and empty, `unknown` without a revision.
+fn stamp_rev(head: Option<String>, status: impl FnOnce() -> Option<String>) -> String {
+    match head.filter(|rev| !rev.is_empty()) {
+        Some(rev) => match status() {
+            Some(status) if status.is_empty() => rev,
+            _ => format!("{rev}-dirty"),
+        },
+        None => "unknown".to_string(),
+    }
 }
 
 /// Escapes a Prometheus label value: backslash, double quote and
@@ -713,6 +732,19 @@ mod tests {
         let uptime = text.find("tsv3d_uptime_seconds 0").expect("uptime");
         let info = text.find("tsv3d_build_info").expect("build info");
         assert!(uptime < info, "build info follows the uptime block:\n{text}");
+    }
+
+    #[test]
+    fn revisions_with_changed_tracked_files_are_dirty() {
+        let head = || Some("abc1234".to_string());
+        assert_eq!(stamp_rev(head(), || Some(String::new())), "abc1234");
+        assert_eq!(
+            stamp_rev(head(), || Some(" M src/lib.rs".to_string())),
+            "abc1234-dirty"
+        );
+        assert_eq!(stamp_rev(head(), || None), "abc1234-dirty");
+        assert_eq!(stamp_rev(None, || unreachable!()), "unknown");
+        assert_eq!(stamp_rev(Some(String::new()), || unreachable!()), "unknown");
     }
 
     #[test]
