@@ -8,7 +8,9 @@
 //! rebuilds that flow:
 //!
 //! * [`mna`] — a small modified-nodal-analysis transient engine
-//!   (resistors, capacitors, backward-Euler companion models, dense LU);
+//!   (resistors, capacitors, RL branches, backward-Euler companion
+//!   models, dense LU), plus an exact propagator that takes a whole
+//!   clock cycle of steps at once while the rails are held;
 //! * [`DriverModel`] — a CMOS driver macromodel (switched pull-up/-down
 //!   resistance, output capacitance, leakage current);
 //! * [`TsvLink`] — an `n`-section π ladder built from a
@@ -18,8 +20,11 @@
 //!
 //! The drivers are modelled with symmetric pull-up/pull-down resistance,
 //! which keeps the MNA conductance matrix constant across data states —
-//! one LU factorisation serves the whole stream, so even long traces
-//! simulate in milliseconds.
+//! the network is linear and time-invariant, and the rails only switch
+//! at clock edges. One LU factorisation and one propagator build
+//! therefore serve the whole stream, and each clock cycle is a single
+//! dense matrix–vector product, so even long traces simulate in
+//! milliseconds.
 //!
 //! # Examples
 //!

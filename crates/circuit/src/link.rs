@@ -1,7 +1,7 @@
 //! A driven TSV link: n-section π ladder + CMOS drivers, simulated
 //! cycle-by-cycle for a bit stream.
 
-use crate::mna::Netlist;
+use crate::mna::{Netlist, Propagator};
 use crate::{CircuitError, DriverModel};
 use tsv3d_model::TsvRcNetlist;
 use tsv3d_stats::BitStream;
@@ -228,7 +228,9 @@ impl TsvLink {
     /// Each cycle switches the drivers to the word's bit values and
     /// integrates the network for one period; the dynamic energy is the
     /// signed integral of the current drawn from the `V_dd` rail through
-    /// all pull-up drivers, and leakage is added analytically.
+    /// all pull-up drivers, and leakage is added analytically. The
+    /// period's backward-Euler steps are taken at once by an exact
+    /// per-cycle propagator: one dense matrix–vector product per cycle.
     ///
     /// # Errors
     ///
@@ -241,7 +243,9 @@ impl TsvLink {
     }
 
     /// [`simulate`](TsvLink::simulate) with instrumentation: wraps the
-    /// run in a `circuit.simulate` span, reports energy-integration
+    /// run in a `circuit.simulate` span (with the LU factorisation and
+    /// the propagator build as `circuit.lu_factor` and
+    /// `circuit.propagator` child spans), reports energy-integration
     /// progress (`circuit.progress`, ≈16 times per stream), accumulates
     /// `circuit.cycles`/`circuit.steps` counters and emits a final
     /// `circuit.energy` event. The returned [`EnergyReport`] is
@@ -256,6 +260,17 @@ impl TsvLink {
         clock: f64,
         tel: &TelemetryHandle,
     ) -> Result<EnergyReport, CircuitError> {
+        self.integrate(stream, clock, tel).map(|(report, _)| report)
+    }
+
+    /// The body of [`simulate_with_telemetry`](TsvLink::simulate_with_telemetry),
+    /// also returning the propagator in its final state.
+    fn integrate(
+        &self,
+        stream: &BitStream,
+        clock: f64,
+        tel: &TelemetryHandle,
+    ) -> Result<(EnergyReport, Propagator), CircuitError> {
         let n = self.netlist.len();
         if stream.width() != n {
             return Err(CircuitError::WidthMismatch {
@@ -273,25 +288,23 @@ impl TsvLink {
 
         let period = 1.0 / clock;
         let h = period / self.steps_per_cycle as f64;
-        let mut sim = net.transient_with_telemetry(h, tel)?;
+        let mut prop = net
+            .transient_with_telemetry(h, tel)?
+            .propagator(self.steps_per_cycle);
 
         let vdd = self.driver.vdd;
         let progress_every = (stream.len() / 16).max(1);
         let mut dynamic_energy = 0.0;
         for (cycle, word) in stream.iter().enumerate() {
             // Switch the rails to this word's levels.
-            let mut up = Vec::with_capacity(n);
+            let high = |i: usize| (word >> i) & 1 == 1;
             for (i, &d) in drives.iter().enumerate() {
-                let high = (word >> i) & 1 == 1;
-                sim.set_rail(d, if high { vdd } else { 0.0 });
-                if high {
-                    up.push(d);
-                }
+                prop.set_rail(d, if high(i) { vdd } else { 0.0 });
             }
-            for _ in 0..self.steps_per_cycle {
-                sim.step();
-                for &d in &up {
-                    dynamic_energy += sim.drive_current(d) * vdd * h;
+            prop.advance();
+            for (i, &d) in drives.iter().enumerate() {
+                if high(i) {
+                    dynamic_energy += prop.drive_charge(d) * vdd;
                 }
             }
             if observe && (cycle + 1) % progress_every == 0 {
@@ -308,25 +321,27 @@ impl TsvLink {
         let total_time = stream.len() as f64 * period;
         let leakage_energy = n as f64 * self.driver.leakage * vdd * total_time;
         if observe {
+            let steps = (stream.len() * self.steps_per_cycle) as u64;
             tel.add("circuit.cycles", stream.len() as u64);
-            tel.add("circuit.steps", sim.steps_taken());
+            tel.add("circuit.steps", steps);
             tel.event(
                 "circuit.energy",
                 &[
                     ("dynamic_energy_j", Value::from(dynamic_energy)),
                     ("leakage_energy_j", Value::from(leakage_energy)),
                     ("cycles", Value::from(stream.len())),
-                    ("steps", Value::from(sim.steps_taken())),
+                    ("steps", Value::from(steps)),
                     ("clock_hz", Value::from(clock)),
                 ],
             );
         }
-        Ok(EnergyReport {
+        let report = EnergyReport {
             dynamic_energy,
             leakage_energy,
             cycles: stream.len(),
             clock,
-        })
+        };
+        Ok((report, prop))
     }
 }
 
@@ -499,9 +514,14 @@ mod tests {
         assert_eq!(tel.counter_value("circuit.cycles"), Some(40));
         assert_eq!(tel.counter_value("circuit.steps"), Some(40 * 24));
         assert_eq!(
+            tel.histogram("circuit.propagator").map(|h| h.count()),
+            Some(1),
+            "one propagator build per simulate call"
+        );
+        assert_eq!(
             tel.histogram("circuit.step_seconds").map(|h| h.count()),
-            Some(40 * 24),
-            "every step's solve time is recorded"
+            None,
+            "no cycle is integrated by single timed steps"
         );
         assert_eq!(
             tel.histogram("circuit.lu_factor").map(|h| h.count()),
@@ -585,5 +605,180 @@ mod delay_tests {
         let link = link_3x3();
         assert!(link.transition_delay(9, &[]).is_err());
         assert!(link.transition_delay(0, &[9]).is_err());
+    }
+}
+
+#[cfg(test)]
+mod propagator_tests {
+    use super::*;
+    use crate::mna::Transient;
+    use proptest::prelude::*;
+    use tsv3d_model::{Extractor, TsvArray, TsvGeometry};
+    use tsv3d_stats::gen::{SequentialSource, UniformSource};
+
+    const ARRAYS: [(usize, usize); 4] = [(1, 1), (1, 2), (3, 3), (4, 4)];
+    const SECTIONS: [usize; 4] = [1, 2, 3, 4];
+    /// One step, the smallest powers, the default and one past it: the
+    /// edge cases of binary powering.
+    const STEPS: [usize; 5] = [1, 2, 3, 24, 25];
+    const CLOCK: f64 = 3.0e9;
+
+    /// The stream kinds the propagator is checked on.
+    #[derive(Debug, Clone, Copy)]
+    enum Kind {
+        Random,
+        Sequential,
+        AllToggle,
+    }
+
+    const KINDS: [Kind; 3] = [Kind::Random, Kind::Sequential, Kind::AllToggle];
+
+    /// The step-by-step integration `simulate` ran before the per-cycle
+    /// propagator, kept as the reference the propagator must match:
+    /// `steps_per_cycle` backward-Euler solves per cycle, each adding
+    /// every high driver's current to the energy.
+    fn stepped(link: &TsvLink, stream: &BitStream, clock: f64) -> (EnergyReport, Transient) {
+        let n = link.netlist.len();
+        let (net, drives) = link.build_network();
+        let period = 1.0 / clock;
+        let h = period / link.steps_per_cycle as f64;
+        let mut sim = net.transient(h).expect("link network is regular");
+        let vdd = link.driver.vdd;
+        let mut dynamic_energy = 0.0;
+        for word in stream.iter() {
+            let mut up = Vec::with_capacity(n);
+            for (i, &d) in drives.iter().enumerate() {
+                let high = (word >> i) & 1 == 1;
+                sim.set_rail(d, if high { vdd } else { 0.0 });
+                if high {
+                    up.push(d);
+                }
+            }
+            for _ in 0..link.steps_per_cycle {
+                sim.step();
+                for &d in &up {
+                    dynamic_energy += sim.drive_current(d) * vdd * h;
+                }
+            }
+        }
+        let total_time = stream.len() as f64 * period;
+        let report = EnergyReport {
+            dynamic_energy,
+            leakage_energy: n as f64 * link.driver.leakage * vdd * total_time,
+            cycles: stream.len(),
+            clock,
+        };
+        (report, sim)
+    }
+
+    fn link(rows: usize, cols: usize, sections: usize, steps: usize) -> TsvLink {
+        let array = TsvArray::new(rows, cols, TsvGeometry::itrs_2018_min()).expect("array");
+        let cap = Extractor::new(array.clone())
+            .extract(&vec![0.5; array.len()])
+            .expect("extract");
+        TsvLink::new(
+            TsvRcNetlist::from_extraction(&array, cap),
+            DriverModel::ptm_22nm_strength6(),
+        )
+        .expect("link")
+        .with_sections(sections)
+        .with_steps_per_cycle(steps)
+    }
+
+    fn stream(kind: Kind, width: usize, len: usize, seed: u64) -> BitStream {
+        match kind {
+            Kind::Random => UniformSource::new(width)
+                .expect("width")
+                .generate(seed, len)
+                .expect("stream"),
+            Kind::Sequential => SequentialSource::new(width, 0.1)
+                .expect("width")
+                .generate(seed, len)
+                .expect("stream"),
+            Kind::AllToggle => {
+                let mask = u64::MAX >> (64 - width);
+                let words = (0..len).map(|t| if t % 2 == 0 { mask } else { 0 }).collect();
+                BitStream::from_words(width, words).expect("stream")
+            }
+        }
+    }
+
+    /// Propagator against stepper: dynamic energy to 1e-12 relative,
+    /// the other report fields exactly, every final node voltage to
+    /// 1e-12 V.
+    fn check(link: &TsvLink, stream: &BitStream) -> Result<(), String> {
+        let (reference, sim) = stepped(link, stream, CLOCK);
+        let (report, prop) = link
+            .integrate(stream, CLOCK, &TelemetryHandle::disabled())
+            .map_err(|e| e.to_string())?;
+        let what = format!(
+            "{} vias, {} sections, {} steps, {} cycles",
+            link.len(),
+            link.sections,
+            link.steps_per_cycle,
+            stream.len()
+        );
+        let (got, want) = (report.dynamic_energy(), reference.dynamic_energy());
+        if (got - want).abs() > 1e-12 * want.abs() {
+            return Err(format!("{what}: energy {got:e} vs stepped {want:e}"));
+        }
+        let exact = EnergyReport {
+            dynamic_energy: want,
+            ..report
+        };
+        if exact != reference {
+            return Err(format!("{what}: report {report:?} vs stepped {reference:?}"));
+        }
+        for node in 1..=link.len() * (link.sections + 1) {
+            let (got, want) = (prop.voltage(node), sim.voltage(node));
+            if (got - want).abs() > 1e-12 {
+                return Err(format!("{what}: node {node} at {got:e} V vs stepped {want:e} V"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn matches_the_stepper_on_every_shape_and_step_count() {
+        for (rows, cols) in ARRAYS {
+            for sections in SECTIONS {
+                for steps in STEPS {
+                    let link = link(rows, cols, sections, steps);
+                    let n = link.len();
+                    check(&link, &stream(Kind::Random, n, 0, 1)).unwrap();
+                    check(&link, &stream(Kind::Random, n, 1, 2)).unwrap();
+                    for kind in KINDS {
+                        check(&link, &stream(kind, n, 30, 3)).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_stepper_on_a_10k_cycle_all_toggle_3x3_stream() {
+        check(&link(3, 3, 3, 24), &stream(Kind::AllToggle, 9, 10_000, 0)).unwrap();
+    }
+
+    #[test]
+    fn matches_the_stepper_on_a_10k_cycle_sequential_4x4_stream() {
+        check(&link(4, 4, 3, 24), &stream(Kind::Sequential, 16, 10_000, 5)).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn matches_the_stepper_on_random_streams(
+            array in 0..ARRAYS.len(),
+            sections in 0..SECTIONS.len(),
+            steps in 0..STEPS.len(),
+            kind in 0..KINDS.len(),
+            len in 0..=200usize,
+            seed in any::<u64>(),
+        ) {
+            let (rows, cols) = ARRAYS[array];
+            let link = link(rows, cols, SECTIONS[sections], STEPS[steps]);
+            check(&link, &stream(KINDS[kind], rows * cols, len, seed))?;
+        }
     }
 }

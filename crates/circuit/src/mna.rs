@@ -14,6 +14,15 @@
 //! `i_{n+1} = (v_{n+1} + (L/h)·i_n) / (R + L/h)`, i.e. an effective
 //! conductance `1/(R + L/h)` plus a history current — no extra node is
 //! needed, which keeps the TSV π ladders compact.
+//!
+//! A backward-Euler step is linear and time-invariant in the state
+//! `x = (node voltages, RL branch currents)` and the rail voltages `r`:
+//! `x⁺ = M x + B r`. While the rails are held constant, `k` steps
+//! therefore collapse into one exact affine map, built by
+//! `Transient::propagator`: `M` and `B` are probed column by column
+//! through [`Transient::step`] itself (so the propagator inherits the
+//! stepper's discretisation and no second copy of the stamps exists),
+//! and `k` steps are composed by binary powering.
 
 use crate::CircuitError;
 use tsv3d_telemetry::{TelemetryHandle, Value};
@@ -212,7 +221,6 @@ impl Netlist {
             rails: self.drives.iter().map(|&(_, _, r)| r).collect(),
             rhs: vec![0.0; n],
             branch_currents: vec![0.0; self.rl_branches.len()],
-            steps: 0,
             tel: tel.clone(),
         })
     }
@@ -231,8 +239,6 @@ pub struct Transient {
     rhs: Vec<f64>,
     /// Inductor branch currents (one per RL branch), A, flowing a → b.
     branch_currents: Vec<f64>,
-    /// Backward-Euler steps taken so far.
-    steps: u64,
     /// Instrumentation handle (disabled unless built via
     /// [`Netlist::transient_with_telemetry`]).
     tel: TelemetryHandle,
@@ -242,11 +248,6 @@ impl Transient {
     /// The integration step, s.
     pub fn h(&self) -> f64 {
         self.h
-    }
-
-    /// Number of [`step`](Transient::step) calls so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.steps
     }
 
     /// Voltage of a node (0 = ground ⇒ 0.0).
@@ -293,7 +294,6 @@ impl Transient {
 
     /// Advances the simulation by one backward-Euler step.
     pub fn step(&mut self) {
-        self.steps += 1;
         let solve_timer = if self.tel.is_enabled() {
             Some(std::time::Instant::now())
         } else {
@@ -338,6 +338,237 @@ impl Transient {
         if let Some(start) = solve_timer {
             self.tel
                 .record("circuit.step_seconds", start.elapsed().as_secs_f64());
+        }
+    }
+
+    /// Builds the exact `steps`-step map of this transient with the
+    /// rails held constant, starting from the present state and rails.
+    ///
+    /// Binary powering from the top bit of `steps` down: each bit
+    /// squares the map with one dense product, and each set bit extends
+    /// it by one step, taken through [`step`](Transient::step) on every
+    /// unit state and unit rail vector's response (these probe steps are
+    /// not timed). That is ⌊log₂ steps⌋ products; the first set bit
+    /// probes the one-step map itself. The build is timed as a
+    /// `circuit.propagator` span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps` is zero.
+    pub(crate) fn propagator(&self, steps: usize) -> Propagator {
+        assert!(steps > 0, "a propagator spans at least one step");
+        let _span = self.tel.span("circuit.propagator");
+        let nodes = self.netlist.nodes;
+        let states = nodes + self.branch_currents.len();
+        let size = states + self.rails.len();
+        let stride = size.next_multiple_of(BLOCK);
+
+        // `[A F; E G]` of zero steps is `[I 0; 0 0]`.
+        let mut map = vec![0.0; stride * stride];
+        for i in 0..states {
+            map[i * stride + i] = 1.0;
+        }
+        let mut probe = self.clone();
+        probe.tel = TelemetryHandle::disabled();
+        let top = usize::BITS - 1 - steps.leading_zeros();
+        probe.step_columns(&mut map, stride);
+        let mut squared = vec![0.0; stride * stride];
+        for bit in (0..top).rev() {
+            square(&map, &mut squared, states, stride);
+            std::mem::swap(&mut map, &mut squared);
+            if (steps >> bit) & 1 == 1 {
+                probe.step_columns(&mut map, stride);
+            }
+        }
+
+        let mut input = vec![0.0; stride];
+        input[..nodes].copy_from_slice(&self.v);
+        input[nodes..states].copy_from_slice(&self.branch_currents);
+        input[states..size].copy_from_slice(&self.rails);
+        Propagator {
+            states,
+            steps,
+            h: self.h,
+            conductances: self.netlist.drives.iter().map(|&(_, g, _)| g).collect(),
+            map,
+            input,
+            output: vec![0.0; stride],
+            charges: vec![0.0; self.rails.len()],
+        }
+    }
+
+    /// Extends a `k`-step map `[A F; E G]` (row-major, `stride` columns)
+    /// to `k + 1` steps in place: every column is a response to a unit
+    /// state or unit rail vector, so one [`step`](Transient::step) from
+    /// its state, at its rail, advances it; the new drive-node voltages
+    /// add to its sums.
+    fn step_columns(&mut self, map: &mut [f64], stride: usize) {
+        let nodes = self.netlist.nodes;
+        let states = nodes + self.branch_currents.len();
+        for col in 0..states + self.rails.len() {
+            let column = |row: usize| map[row * stride + col];
+            for (i, v) in self.v.iter_mut().enumerate() {
+                *v = column(i);
+            }
+            for (k, current) in self.branch_currents.iter_mut().enumerate() {
+                *current = column(nodes + k);
+            }
+            for (k, rail) in self.rails.iter_mut().enumerate() {
+                *rail = if states + k == col { 1.0 } else { 0.0 };
+            }
+            self.step();
+            let next = self.v.iter().chain(&self.branch_currents);
+            for (row, &value) in next.enumerate() {
+                map[row * stride + col] = value;
+            }
+            for (k, &(node, _, _)) in self.netlist.drives.iter().enumerate() {
+                map[(states + k) * stride + col] += self.v[node - 1];
+            }
+        }
+    }
+}
+
+/// Tile edge of the propagator kernels. Their matrices are stored with
+/// rows and columns padded to a multiple of it; the padding is zero and
+/// every product keeps it zero.
+const BLOCK: usize = 4;
+
+/// Writes into `out` the `2k`-step map of the `k`-step map `[A F; E G]`
+/// (row-major, `stride` columns, the first `states` rows and columns
+/// belonging to the state).
+///
+/// With `x ↦ A x + F r` and the drive-node sums `s = E x + G r`, running
+/// the map twice gives `[A² AF + F; E + EA  G + EF + G]`: the product of
+/// the map's state columns with its state rows, plus its rail columns
+/// and its sum rows. The product runs in `BLOCK × BLOCK` output tiles,
+/// each summing over the state in order.
+fn square(map: &[f64], out: &mut [f64], states: usize, stride: usize) {
+    let tile_rows = BLOCK * stride;
+    for (out_rows, map_rows) in out
+        .chunks_exact_mut(tile_rows)
+        .zip(map.chunks_exact(tile_rows))
+    {
+        for col in (0..stride).step_by(BLOCK) {
+            let mut acc = [[0.0; BLOCK]; BLOCK];
+            for (k, state_row) in map.chunks_exact(stride).take(states).enumerate() {
+                let e = &state_row[col..col + BLOCK];
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    let a = map_rows[r * stride + k];
+                    for (o, &e) in acc_row.iter_mut().zip(e) {
+                        *o += a * e;
+                    }
+                }
+            }
+            for (r, acc_row) in acc.iter().enumerate() {
+                out_rows[r * stride + col..][..BLOCK].copy_from_slice(acc_row);
+            }
+        }
+    }
+    for (i, (row, map_row)) in out
+        .chunks_exact_mut(stride)
+        .zip(map.chunks_exact(stride))
+        .enumerate()
+    {
+        for (o, &f) in row[states..].iter_mut().zip(&map_row[states..]) {
+            *o += f;
+        }
+        if i >= states {
+            for (o, &e) in row.iter_mut().zip(map_row) {
+                *o += e;
+            }
+        }
+    }
+}
+
+/// The exact map of a fixed number of backward-Euler steps with the
+/// rails held constant, built by [`Transient::propagator`]. Each
+/// [`advance`](Propagator::advance) is one dense matrix–vector product
+/// that moves the state across all of those steps and yields every
+/// drive's charge over them.
+#[derive(Debug)]
+pub(crate) struct Propagator {
+    /// State length: node voltages, then RL branch currents.
+    states: usize,
+    /// Backward-Euler steps per [`advance`](Propagator::advance).
+    steps: usize,
+    /// The integration step, s.
+    h: f64,
+    /// Conductance of each drive, S.
+    conductances: Vec<f64>,
+    /// Row-major `[A F; E G]`, padded to `BLOCK`: the state rows, then
+    /// one row per drive summing its node's voltage over the steps.
+    map: Vec<f64>,
+    /// `(x, r)`: the present state, then the rail voltages.
+    input: Vec<f64>,
+    /// `(x⁺, s)` of the last advance.
+    output: Vec<f64>,
+    /// Charge out of each rail over the last advance, C.
+    charges: Vec<f64>,
+}
+
+impl Propagator {
+    /// Voltage of a node (0 = ground ⇒ 0.0).
+    #[cfg(test)]
+    pub(crate) fn voltage(&self, node: usize) -> f64 {
+        if node == 0 {
+            0.0
+        } else {
+            self.input[node - 1]
+        }
+    }
+
+    /// Sets the rail voltage of drive `index` (takes effect next advance).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index is out of range.
+    pub(crate) fn set_rail(&mut self, index: usize, volts: f64) {
+        let rails = self.charges.len();
+        self.input[self.states..self.states + rails][index] = volts;
+    }
+
+    /// Charge that flowed *out of the rail* into the circuit through
+    /// drive `index` over the last [`advance`](Propagator::advance), C
+    /// (0 before the first): the sum of
+    /// [`Transient::drive_current`] `· h` over its steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index is out of range.
+    pub(crate) fn drive_charge(&self, index: usize) -> f64 {
+        self.charges[index]
+    }
+
+    /// Advances the state by the propagator's backward-Euler steps at the
+    /// present rail voltages.
+    pub(crate) fn advance(&mut self) {
+        // `BLOCK` rows at a time, each over `BLOCK` lanes summed in a
+        // fixed order.
+        let stride = self.input.len();
+        let tile_rows = BLOCK * stride;
+        for (out, rows) in self
+            .output
+            .chunks_exact_mut(BLOCK)
+            .zip(self.map.chunks_exact(tile_rows))
+        {
+            let mut acc = [[0.0; BLOCK]; BLOCK];
+            for (col, x) in self.input.chunks_exact(BLOCK).enumerate() {
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    let m = &rows[r * stride + col * BLOCK..][..BLOCK];
+                    for ((o, &m), &x) in acc_row.iter_mut().zip(m).zip(x) {
+                        *o += m * x;
+                    }
+                }
+            }
+            for (o, lanes) in out.iter_mut().zip(&acc) {
+                *o = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+            }
+        }
+        self.input[..self.states].copy_from_slice(&self.output[..self.states]);
+        let held = self.steps as f64;
+        for (k, charge) in self.charges.iter_mut().enumerate() {
+            let (rail, sum) = (self.input[self.states + k], self.output[self.states + k]);
+            *charge = self.conductances[k] * (held * rail - sum) * self.h;
         }
     }
 }
@@ -548,6 +779,42 @@ mod tests {
 #[cfg(test)]
 mod rl_tests {
     use super::*;
+
+    #[test]
+    fn propagator_lands_where_single_steps_do() {
+        // An RL–C ladder with two drives, the rails switched between
+        // advances: voltages and drive charges must match the stepper.
+        let mut net = Netlist::new(3);
+        net.rl_branch(1, 2, 50.0, 2e-9);
+        net.capacitor(1, 0, 20e-15);
+        net.capacitor(2, 0, 30e-15);
+        net.capacitor(2, 3, 10e-15);
+        net.capacitor(3, 0, 25e-15);
+        let a = net.drive(1, 1e-3, 0.0);
+        let b = net.drive(3, 2e-3, 0.0);
+        let h = 1e-12;
+        let mut sim = net.transient(h).unwrap();
+        let mut prop = sim.propagator(7);
+        for (rail_a, rail_b) in [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)] {
+            sim.set_rail(a, rail_a);
+            sim.set_rail(b, rail_b);
+            prop.set_rail(a, rail_a);
+            prop.set_rail(b, rail_b);
+            prop.advance();
+            let mut charge = [0.0; 2];
+            for _ in 0..7 {
+                sim.step();
+                charge[0] += sim.drive_current(a) * h;
+                charge[1] += sim.drive_current(b) * h;
+            }
+            for node in 0..=3 {
+                assert!((prop.voltage(node) - sim.voltage(node)).abs() < 1e-12);
+            }
+            for (d, q) in [(a, charge[0]), (b, charge[1])] {
+                assert!((prop.drive_charge(d) - q).abs() <= 1e-12 * q.abs());
+            }
+        }
+    }
 
     #[test]
     fn rl_branch_acts_as_resistor_at_dc() {

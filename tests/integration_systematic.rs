@@ -2,7 +2,7 @@
 //! experiment scenarios — the paper's Sec. 4/5 claims at workload scale.
 
 use tsv3d_experiments::common;
-use tsv3d_experiments::{fig2, fig3, fig5};
+use tsv3d_experiments::{fig2, fig3, fig5, fig6};
 use tsv3d_model::TsvGeometry;
 use tsv3d_stats::gen::SensorKind;
 
@@ -92,4 +92,47 @@ fn wider_geometry_gives_larger_reductions() {
     // Both geometries must benefit; the paper additionally reports the
     // wide one benefits more (we verify it is at least comparable).
     assert!(reductions[0] > 0.0 && reductions[1] > 0.0, "{reductions:?}");
+}
+
+#[test]
+fn fig6_shape_assignment_and_code_combinations() {
+    // Fig. 6 at the `--quick` scale: the assignment lowers the
+    // circuit-level power of all six streams, multiplexing the sensors
+    // costs power (Sec. 7: the pattern correlation is lost), and Gray
+    // coding and the correlator each save more, against the plain
+    // multiplexed stream, combined with the assignment than alone.
+    use fig6::Fig6Stream;
+    let points = fig6::sweep(600, true);
+    for p in &points {
+        assert!(p.reduction() > 0.0, "assignment must help: {p:?}");
+    }
+    let by = |kind| {
+        points
+            .iter()
+            .find(|p| p.stream == kind)
+            .expect("every stream is swept")
+    };
+    let seq = by(Fig6Stream::SensorSeq);
+    let mux = by(Fig6Stream::SensorMux);
+    assert!(
+        mux.power_plain_mw > seq.power_plain_mw,
+        "mux {mux:?} vs seq {seq:?}"
+    );
+
+    let saving = |power: f64, base: f64| 1.0 - power / base;
+    let gray = by(Fig6Stream::SensorMuxGray);
+    let gray_alone = saving(gray.power_plain_mw, mux.power_plain_mw);
+    let gray_plus_opt = saving(gray.power_assigned_mw, mux.power_plain_mw);
+    assert!(
+        gray_plus_opt > gray_alone,
+        "gray+opt {gray_plus_opt:.3} must beat gray alone {gray_alone:.3}"
+    );
+    let rgb = by(Fig6Stream::RgbMuxRedundant);
+    let corr = by(Fig6Stream::RgbMuxCorrelator);
+    let corr_alone = saving(corr.power_plain_mw, rgb.power_plain_mw);
+    let corr_plus_opt = saving(corr.power_assigned_mw, rgb.power_plain_mw);
+    assert!(
+        corr_plus_opt > corr_alone,
+        "corr+opt {corr_plus_opt:.3} must beat correlator alone {corr_alone:.3}"
+    );
 }
