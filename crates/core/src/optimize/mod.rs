@@ -12,7 +12,8 @@
 //! * [`greedy_two_opt`] — deterministic best-improvement local search,
 //!   a cheap and surprisingly strong baseline;
 //! * [`worst_case`] — the *maximising* counterpart used as the
-//!   "worst-case random assignment" reference of Fig. 2;
+//!   "worst-case random assignment" reference of Fig. 2: the same
+//!   annealing loop over the negated power objective;
 //! * [`random_mean`] — the mean power over uniformly random (uninverted)
 //!   assignments, the baseline of Figs. 4 and 5;
 //! * [`branch_and_bound`] — an exact solver with admissible lower
@@ -22,16 +23,19 @@
 //! # Incremental objectives
 //!
 //! Every hot loop prices candidate moves incrementally: an O(n) delta
-//! instead of a full O(n²) re-evaluation. The [`Objective`] trait makes
-//! that pluggable — [`PowerObjective`] and [`PowerCrosstalkObjective`]
-//! ship incremental `delta_swap`/`delta_flip` implementations backed by
-//! [`AssignmentProblem::swap_lines_delta`] and friends, while
-//! [`FnObjective`] wraps an arbitrary closure with a mutate–evaluate–
-//! revert fallback. Accumulated deltas are resynchronised against a
-//! full evaluation every 1024 accepted moves, and each restart's final
-//! value is recomputed exactly before the cross-restart reduction, so
-//! float drift can neither corrupt the reported power nor flip which
-//! restart wins.
+//! instead of a full O(n²) re-evaluation. The annealing entry points
+//! ([`anneal`], [`anneal_with_objective`], [`anneal_objective`] and
+//! [`worst_case`]) share one generic loop over the [`Objective`] trait,
+//! which makes the pricing pluggable — [`PowerObjective`] and
+//! [`PowerCrosstalkObjective`] ship incremental `delta_swap`/`delta_flip`
+//! implementations backed by [`AssignmentProblem::swap_lines_delta`] and
+//! friends, while [`FnObjective`] wraps an arbitrary closure with a
+//! mutate–evaluate–revert fallback; the worst case runs the loop over
+//! the negated power objective. Accumulated deltas are resynchronised
+//! against a full evaluation every 1024 accepted moves, and each
+//! restart's final value is recomputed exactly before the cross-restart
+//! reduction, so float drift can neither corrupt the reported power nor
+//! flip which restart wins.
 
 mod bnb;
 
@@ -80,13 +84,19 @@ impl Default for AnnealOptions {
 }
 
 impl AnnealOptions {
-    /// The resolved worker-pool size: `threads`, or the machine's
-    /// available parallelism when `threads == 0` (at least 1).
+    /// The worker-pool size the restarts actually run on: `threads`
+    /// (the machine's available parallelism when `threads == 0`),
+    /// capped at the available parallelism and at `restarts`, and at
+    /// least 1. Oversubscribing cores would only add scheduler churn,
+    /// and a worker without a restart would idle.
     pub fn worker_count(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            t => t,
-        }
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let wanted = if self.threads == 0 {
+            cores
+        } else {
+            self.threads
+        };
+        wanted.min(cores).clamp(1, self.restarts.max(1))
     }
 }
 
@@ -208,25 +218,21 @@ fn stream_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs `jobs` independent restarts over at most `threads` scoped
-/// workers and returns the results in job order. Worker `w` takes jobs
-/// `w, w + W, …` — restarts cost the same, so striding balances the
-/// pool without a queue. Each worker builds one `init()` state and
-/// threads it through its jobs, so per-restart scratch buffers are
-/// allocated once per worker, not once per restart. The pool is capped
-/// at the machine's available parallelism: oversubscribing cores would
-/// only add scheduler churn, and with one worker (or one job) the whole
-/// fan-out runs inline on the caller's thread with no spawn at all. A
-/// panicking job propagates.
+/// Runs `jobs` independent restarts over `workers` scoped workers (as
+/// sized by [`AnnealOptions::worker_count`]) and returns the results in
+/// job order. Worker `w` takes jobs `w, w + W, …` — restarts cost the
+/// same, so striding balances the pool without a queue. Each worker
+/// builds one `init()` state and threads it through its jobs, so
+/// per-restart scratch buffers are allocated once per worker, not once
+/// per restart. With one worker the whole fan-out runs inline on the
+/// caller's thread with no spawn at all. A panicking job propagates.
 fn fan_out<R: Send, S>(
     jobs: usize,
-    threads: usize,
+    workers: usize,
     init: impl Fn() -> S + Sync,
     job: impl Fn(&mut S, usize) -> R + Sync,
 ) -> Vec<R> {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let workers = threads.min(cores).clamp(1, jobs.max(1));
-    if workers == 1 {
+    if workers <= 1 {
         let mut state = init();
         return (0..jobs).map(|i| job(&mut state, i)).collect();
     }
@@ -491,173 +497,8 @@ pub fn anneal_with_telemetry(
     options: &AnnealOptions,
     tel: &TelemetryHandle,
 ) -> Result<OptimizeResult, CoreError> {
-    if options.iterations == 0 || options.restarts == 0 {
-        return Err(CoreError::EmptyBudget);
-    }
-    let _span = tel.span("core.anneal");
-    let observe = tel.is_enabled();
-    let n = problem.n();
-
-    let flip_candidates = problem.invertible_bits();
-    let free_lines = problem.free_lines();
-    if free_lines.len() < 2 && flip_candidates.is_empty() {
-        // Everything is pinned and nothing may be inverted: the base
-        // assignment is the only feasible point — skip the calibration
-        // probe entirely (its spread would be degenerate anyway).
-        let a = problem.base_assignment();
-        let power = problem.power(&a);
-        return Ok(OptimizeResult { assignment: a, power });
-    }
-
-    // Probe the landscape to calibrate the temperature scale. The probe
-    // has its own seed stream (restarts use streams 1..=R), so the
-    // calibration is the same however many workers run later.
-    let mut probe_rng = StdRng::seed_from_u64(stream_seed(options.seed, 0));
-    let mut probe_scratch = RestartScratch::new(problem);
-    let mut probe_min = f64::INFINITY;
-    let mut probe_max = f64::NEG_INFINITY;
-    for _ in 0..32.max(n) {
-        draw_feasible(problem, &mut probe_rng, &mut probe_scratch, true);
-        let p = problem.power(&probe_scratch.current);
-        probe_min = probe_min.min(p);
-        probe_max = probe_max.max(p);
-    }
-    let spread = (probe_max - probe_min).max(probe_max.abs() * 1e-6 + f64::MIN_POSITIVE);
-    let t_start = 0.5 * spread;
-    let t_end = 1e-5 * spread;
-    let cooling = (t_end / t_start).powf(1.0 / options.iterations as f64);
-    if observe {
-        tel.event(
-            "anneal.calibrated",
-            &[
-                ("t_start", Value::from(t_start)),
-                ("t_end", Value::from(t_end)),
-                ("probe_spread", Value::from(spread)),
-                ("iterations", Value::from(options.iterations)),
-                ("restarts", Value::from(options.restarts)),
-                ("threads", Value::from(options.worker_count())),
-            ],
-        );
-    }
-
-    // Epoch granularity of the per-restart telemetry (≈32 reports).
-    let epoch_len = (options.iterations / 32).max(1);
-    let run_restart = |scratch: &mut RestartScratch, restart: usize| -> OptimizeResult {
-        let rtel = if observe {
-            tel.with_thread_label(&format!("r{restart}"))
-        } else {
-            TelemetryHandle::disabled()
-        };
-        // Live progress cell (tsv3d-pulse): a handful of relaxed atomic
-        // stores per epoch, written only when a pulse is attached. The
-        // cell is observational — it never feeds back into the RNG or
-        // the accept/reject decisions.
-        let cell = tel.pulse().map(|pulse| pulse.cell(restart));
-        if let Some(cell) = &cell {
-            cell.begin(options.iterations as u64);
-        }
-        let mut total_accepts = 0u64;
-        let mut rng = StdRng::seed_from_u64(stream_seed(options.seed, restart as u64 + 1));
-        draw_feasible(problem, &mut rng, scratch, true);
-        let mut current_power = problem.power(&scratch.current);
-        // The starting state seeds the restart-local best, so a best
-        // exists even if every proposal is rejected.
-        scratch.best.clone_from(&scratch.current);
-        let mut best_power = current_power;
-        let mut temperature = t_start;
-        let mut accepts_since_resync = 0u32;
-        // Per-epoch move mix, reset after each `anneal.epoch` event.
-        let (mut ep_swaps, mut ep_flips, mut ep_accepts) = (0u64, 0u64, 0u64);
-        for it in 0..options.iterations {
-            // Propose a move and price it incrementally (O(n)).
-            let flip = !flip_candidates.is_empty()
-                && (free_lines.len() < 2 || rng.gen_bool(0.3));
-            let (swap_a, swap_b, flip_bit, delta);
-            if flip {
-                let bit = flip_candidates[rng.gen_range(0..flip_candidates.len())];
-                delta = problem.flip_bit_delta(&scratch.current, bit);
-                flip_bit = Some(bit);
-                swap_a = 0;
-                swap_b = 0;
-            } else {
-                flip_bit = None;
-                (swap_a, swap_b) = distinct_pair(&mut rng, free_lines);
-                delta = problem.swap_lines_delta(&scratch.current, swap_a, swap_b);
-            }
-            if observe {
-                if flip {
-                    ep_flips += 1;
-                } else {
-                    ep_swaps += 1;
-                }
-            }
-            if delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature).exp() {
-                match flip_bit {
-                    Some(bit) => scratch.current.flip_bit(bit),
-                    None => scratch.current.swap_lines(swap_a, swap_b),
-                }
-                current_power += delta;
-                ep_accepts += 1;
-                // Periodically recompute to cancel floating-point drift
-                // from the accumulated deltas.
-                accepts_since_resync += 1;
-                if accepts_since_resync >= 1024 {
-                    current_power = problem.power(&scratch.current);
-                    accepts_since_resync = 0;
-                }
-                if current_power < best_power {
-                    scratch.best.clone_from(&scratch.current);
-                    best_power = current_power;
-                }
-            }
-            temperature *= cooling;
-            if observe && ((it + 1) % epoch_len == 0 || it + 1 == options.iterations) {
-                let proposals = ep_swaps + ep_flips;
-                rtel.event(
-                    "anneal.epoch",
-                    &[
-                        ("restart", Value::from(restart)),
-                        ("iteration", Value::from(it + 1)),
-                        ("temperature", Value::from(temperature)),
-                        ("current_power", Value::from(current_power)),
-                        ("best_power", Value::from(best_power)),
-                        (
-                            "accept_rate",
-                            Value::from(ep_accepts as f64 / proposals.max(1) as f64),
-                        ),
-                        ("swap_moves", Value::from(ep_swaps)),
-                        ("flip_moves", Value::from(ep_flips)),
-                    ],
-                );
-                rtel.add("anneal.proposals", proposals);
-                rtel.add("anneal.accepts", ep_accepts);
-                rtel.add("anneal.swap_moves", ep_swaps);
-                rtel.add("anneal.flip_moves", ep_flips);
-                if let Some(cell) = &cell {
-                    total_accepts += ep_accepts;
-                    cell.beat(it as u64 + 1, best_power, total_accepts);
-                }
-                (ep_swaps, ep_flips, ep_accepts) = (0, 0, 0);
-            }
-        }
-        if let Some(cell) = &cell {
-            cell.finish();
-        }
-        rtel.add("anneal.restarts", 1);
-        // Exact power per restart: the tracked value carries
-        // accumulated-delta rounding, and comparing drifted values in
-        // the reduction could crown the wrong restart.
-        OptimizeResult {
-            assignment: scratch.best.clone(),
-            power: problem.power(&scratch.best),
-        }
-    };
-    Ok(reduce_min(fan_out(
-        options.restarts,
-        options.worker_count(),
-        || RestartScratch::new(problem),
-        run_restart,
-    )))
+    let objective = PowerObjective::new(problem);
+    search(problem, &objective, options, &ANNEAL, tel)
 }
 
 /// Simulated annealing over an *arbitrary* objective — the tool for
@@ -671,9 +512,9 @@ pub fn anneal_with_telemetry(
 /// feasible set as [`anneal`]'s — swaps over the unpinned lines, flips
 /// of invertible bits — so the returned assignment satisfies the
 /// problem's pin *and* inversion constraints. Restarts fan out over
-/// `options.threads` workers with the same per-restart seed streams as
-/// [`anneal`], so the result is bit-identical for every thread count
-/// (the objective must be `Sync` for that reason).
+/// `options.threads` workers with per-restart seed streams, so the
+/// result is bit-identical for every thread count (the objective must
+/// be `Sync` for that reason).
 ///
 /// # Errors
 ///
@@ -713,8 +554,8 @@ pub fn anneal_objective(
 /// Simulated annealing over a pluggable [`Objective`] with incremental
 /// move pricing — the engine behind [`anneal_objective`].
 ///
-/// Identical search semantics to [`anneal_objective`] (same seed
-/// streams, same move set, same schedule), but candidate moves are
+/// The same annealing loop as [`anneal`], with its own seed streams and
+/// a cooling schedule that ends at `1e-5 · T₀`. Candidate moves are
 /// priced via [`Objective::delta_swap`]/[`Objective::delta_flip`]:
 /// objectives with O(n) deltas turn each iteration from O(n²) into
 /// O(n). The accumulated value is resynchronised against
@@ -753,15 +594,99 @@ pub fn anneal_with_objective<O: Objective>(
     objective: &O,
     options: &AnnealOptions,
 ) -> Result<OptimizeResult, CoreError> {
+    let tel = TelemetryHandle::disabled();
+    search(problem, objective, options, &ANNEAL_OBJECTIVE, &tel)
+}
+
+/// What tells the annealing entry points apart. These are not options:
+/// each constant keeps its entry point's seed streams and cooling, and
+/// therefore its committed results.
+struct Schedule {
+    /// XORed into `options.seed`, so each entry point draws its own
+    /// streams.
+    salt: u64,
+    /// Random starts draw inversions and the moves include flips of
+    /// invertible bits; unsigned searches only permute.
+    signed: bool,
+    /// Cool to `1e-5 · spread` (= 2·10⁻⁵ · T₀, [`anneal`]) rather than
+    /// to `1e-5 · T₀` (the other entry points).
+    cool_to_spread: bool,
+}
+
+const ANNEAL: Schedule = Schedule {
+    salt: 0,
+    signed: true,
+    cool_to_spread: true,
+};
+
+const ANNEAL_OBJECTIVE: Schedule = Schedule {
+    salt: 0x0B_1EC7,
+    signed: true,
+    cool_to_spread: false,
+};
+
+const WORST_CASE: Schedule = Schedule {
+    salt: 0xBAD_C0DE,
+    signed: false,
+    cool_to_spread: false,
+};
+
+/// The negation of an objective, so the minimising [`search`] can
+/// maximise. IEEE negation is exact, so every comparison, accumulated
+/// value and reduction matches a maximising loop over the original
+/// objective bit for bit.
+struct Negated<O>(O);
+
+impl<O: Objective> Objective for Negated<O> {
+    fn eval(&self, assignment: &SignedPerm) -> f64 {
+        -self.0.eval(assignment)
+    }
+
+    fn delta_swap(&self, assignment: &mut SignedPerm, current: f64, a: usize, b: usize) -> f64 {
+        -self.0.delta_swap(assignment, -current, a, b)
+    }
+
+    fn delta_flip(&self, assignment: &mut SignedPerm, current: f64, bit: usize) -> f64 {
+        -self.0.delta_flip(assignment, -current, bit)
+    }
+}
+
+/// The one simulated-annealing loop behind every entry point: minimises
+/// `objective` over the feasible signed permutations, with swaps of
+/// free lines and (when `schedule.signed`) flips of invertible bits.
+///
+/// The temperature follows a geometric schedule calibrated from a
+/// random probe of the landscape. Moves are priced incrementally; the
+/// accumulated value is resynchronised against [`Objective::eval`]
+/// every 1024 accepts, and each restart's best is re-evaluated exactly
+/// before the restart-order reduction. `tel` receives the
+/// `anneal.calibrated`/`anneal.epoch` events, the `anneal.*` counters,
+/// the `core.anneal` span and the pulse cells; it never touches the RNG
+/// or the accept decisions.
+fn search<O: Objective>(
+    problem: &AssignmentProblem,
+    objective: &O,
+    options: &AnnealOptions,
+    schedule: &Schedule,
+    tel: &TelemetryHandle,
+) -> Result<OptimizeResult, CoreError> {
     if options.iterations == 0 || options.restarts == 0 {
         return Err(CoreError::EmptyBudget);
     }
+    let _span = tel.span("core.anneal");
+    let observe = tel.is_enabled();
     let n = problem.n();
-    let flip_candidates = problem.invertible_bits();
+
+    let flip_candidates = if schedule.signed {
+        problem.invertible_bits()
+    } else {
+        &[]
+    };
     let free_lines = problem.free_lines();
     if free_lines.len() < 2 && flip_candidates.is_empty() {
-        // Everything is pinned and nothing may be inverted: the base
-        // assignment is the only feasible point.
+        // No move changes anything: the base assignment is the only
+        // reachable point — skip the calibration probe entirely (its
+        // spread would be degenerate anyway).
         let a = problem.base_assignment();
         let value = objective.eval(&a);
         return Ok(OptimizeResult {
@@ -770,34 +695,80 @@ pub fn anneal_with_objective<O: Objective>(
         });
     }
 
-    let seed = options.seed ^ 0x0B_1EC7;
+    // Probe the landscape to calibrate the temperature scale. The probe
+    // has its own seed stream (restarts use streams 1..=R), so the
+    // calibration is the same however many workers run later.
+    let seed = options.seed ^ schedule.salt;
     let mut probe_rng = StdRng::seed_from_u64(stream_seed(seed, 0));
     let mut probe_scratch = RestartScratch::new(problem);
     let mut probe_min = f64::INFINITY;
     let mut probe_max = f64::NEG_INFINITY;
     for _ in 0..32.max(n) {
-        draw_feasible(problem, &mut probe_rng, &mut probe_scratch, true);
+        draw_feasible(problem, &mut probe_rng, &mut probe_scratch, schedule.signed);
         let v = objective.eval(&probe_scratch.current);
         probe_min = probe_min.min(v);
         probe_max = probe_max.max(v);
     }
-    let spread = (probe_max - probe_min).max(probe_max.abs() * 1e-6 + f64::MIN_POSITIVE);
+    // The degenerate-spread floor scales with the larger magnitude, so
+    // it is the same for an objective and its negation.
+    let magnitude = probe_min.abs().max(probe_max.abs());
+    let spread = (probe_max - probe_min).max(magnitude * 1e-6 + f64::MIN_POSITIVE);
     let t_start = 0.5 * spread;
-    let cooling = (1e-5f64).powf(1.0 / options.iterations as f64);
+    let iterations = options.iterations as f64;
+    let (t_end, cooling) = if schedule.cool_to_spread {
+        let t_end = 1e-5 * spread;
+        (t_end, (t_end / t_start).powf(1.0 / iterations))
+    } else {
+        (1e-5 * t_start, 1e-5f64.powf(1.0 / iterations))
+    };
+    if observe {
+        tel.event(
+            "anneal.calibrated",
+            &[
+                ("t_start", Value::from(t_start)),
+                ("t_end", Value::from(t_end)),
+                ("probe_spread", Value::from(spread)),
+                ("iterations", Value::from(options.iterations)),
+                ("restarts", Value::from(options.restarts)),
+                ("threads", Value::from(options.worker_count())),
+            ],
+        );
+    }
 
+    // Epoch granularity of the per-restart telemetry (≈32 reports).
+    let epoch_len = (options.iterations / 32).max(1);
     let run_restart = |scratch: &mut RestartScratch, restart: usize| -> OptimizeResult {
+        let rtel = if observe {
+            tel.with_thread_label(&format!("r{restart}"))
+        } else {
+            TelemetryHandle::disabled()
+        };
+        // Live progress cell (tsv3d-pulse): a handful of relaxed atomic
+        // stores per epoch, written only when a pulse is attached. The
+        // cell is observational — it never feeds back into the RNG or
+        // the accept/reject decisions.
+        let cell = tel.pulse().map(|pulse| pulse.cell(restart));
+        if let Some(cell) = &cell {
+            cell.begin(options.iterations as u64);
+        }
+        let mut total_accepts = 0u64;
         let mut rng = StdRng::seed_from_u64(stream_seed(seed, restart as u64 + 1));
-        draw_feasible(problem, &mut rng, scratch, true);
+        draw_feasible(problem, &mut rng, scratch, schedule.signed);
         let mut current_value = objective.eval(&scratch.current);
+        // The starting state seeds the restart-local best, so a best
+        // exists even if every proposal is rejected.
         scratch.best.clone_from(&scratch.current);
         let mut best_value = current_value;
         let mut temperature = t_start;
         let mut accepts_since_resync = 0u32;
-        for _ in 0..options.iterations {
-            // Propose over the same feasible move set as `anneal`: swaps
-            // stay on the unpinned lines, flips on invertible bits only.
-            let flip = !flip_candidates.is_empty()
-                && (free_lines.len() < 2 || rng.gen_bool(0.3));
+        // Per-epoch move mix, reset after each `anneal.epoch` event.
+        let (mut ep_swaps, mut ep_flips, mut ep_accepts) = (0u64, 0u64, 0u64);
+        for it in 0..options.iterations {
+            // Propose a move: swaps stay on the unpinned lines, flips on
+            // invertible bits only. With no flip candidates no
+            // `gen_bool` is drawn, which keeps the unsigned search on
+            // its historical seed streams.
+            let flip = !flip_candidates.is_empty() && (free_lines.len() < 2 || rng.gen_bool(0.3));
             let (swap_a, swap_b, flip_bit, delta);
             if flip {
                 let bit = flip_candidates[rng.gen_range(0..flip_candidates.len())];
@@ -810,12 +781,22 @@ pub fn anneal_with_objective<O: Objective>(
                 (swap_a, swap_b) = distinct_pair(&mut rng, free_lines);
                 delta = objective.delta_swap(&mut scratch.current, current_value, swap_a, swap_b);
             }
+            if observe {
+                if flip {
+                    ep_flips += 1;
+                } else {
+                    ep_swaps += 1;
+                }
+            }
             if delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature).exp() {
                 match flip_bit {
                     Some(bit) => scratch.current.flip_bit(bit),
                     None => scratch.current.swap_lines(swap_a, swap_b),
                 }
                 current_value += delta;
+                ep_accepts += 1;
+                // Periodically recompute to cancel floating-point drift
+                // from the accumulated deltas.
                 accepts_since_resync += 1;
                 if accepts_since_resync >= 1024 {
                     current_value = objective.eval(&scratch.current);
@@ -827,7 +808,42 @@ pub fn anneal_with_objective<O: Objective>(
                 }
             }
             temperature *= cooling;
+            if observe && ((it + 1) % epoch_len == 0 || it + 1 == options.iterations) {
+                let proposals = ep_swaps + ep_flips;
+                rtel.event(
+                    "anneal.epoch",
+                    &[
+                        ("restart", Value::from(restart)),
+                        ("iteration", Value::from(it + 1)),
+                        ("temperature", Value::from(temperature)),
+                        ("current_power", Value::from(current_value)),
+                        ("best_power", Value::from(best_value)),
+                        (
+                            "accept_rate",
+                            Value::from(ep_accepts as f64 / proposals.max(1) as f64),
+                        ),
+                        ("swap_moves", Value::from(ep_swaps)),
+                        ("flip_moves", Value::from(ep_flips)),
+                    ],
+                );
+                rtel.add("anneal.proposals", proposals);
+                rtel.add("anneal.accepts", ep_accepts);
+                rtel.add("anneal.swap_moves", ep_swaps);
+                rtel.add("anneal.flip_moves", ep_flips);
+                if let Some(cell) = &cell {
+                    total_accepts += ep_accepts;
+                    cell.beat(it as u64 + 1, best_value, total_accepts);
+                }
+                (ep_swaps, ep_flips, ep_accepts) = (0, 0, 0);
+            }
         }
+        if let Some(cell) = &cell {
+            cell.finish();
+        }
+        rtel.add("anneal.restarts", 1);
+        // Exact value per restart: the tracked value carries
+        // accumulated-delta rounding, and comparing drifted values in
+        // the reduction could crown the wrong restart.
         OptimizeResult {
             assignment: scratch.best.clone(),
             power: objective.eval(&scratch.best),
@@ -906,10 +922,11 @@ pub fn greedy_two_opt(problem: &AssignmentProblem) -> OptimizeResult {
 /// Simulated annealing towards the *highest* power, without inversions —
 /// the "worst-case random assignment" reference of Fig. 2.
 ///
-/// Swaps are priced with [`AssignmentProblem::swap_lines_delta`] and
-/// the accumulated power follows the same drift discipline as
-/// [`anneal`]: resynchronised every 1024 accepts, with each restart's
-/// final power recomputed exactly before the reduction. Restarts fan
+/// The same annealing loop as [`anneal`], run over the negated power
+/// objective with swaps only, its own seed streams and a cooling
+/// schedule that ends at `1e-5 · T₀`. Negation is exact, so the search
+/// is bit-identical to a maximising loop and the returned power is the
+/// exactly recomputed power of the returned assignment. Restarts fan
 /// out over `options.threads` workers with per-restart seed streams, so
 /// the result is bit-identical for every thread count.
 ///
@@ -920,83 +937,13 @@ pub fn worst_case(
     problem: &AssignmentProblem,
     options: &AnnealOptions,
 ) -> Result<OptimizeResult, CoreError> {
-    if options.iterations == 0 || options.restarts == 0 {
-        return Err(CoreError::EmptyBudget);
-    }
-    let n = problem.n();
-    let free_lines = problem.free_lines();
-    if free_lines.len() < 2 {
-        // Fewer than two free lines: no swap can change anything — skip
-        // the calibration probe entirely.
-        let a = problem.base_assignment();
-        let power = problem.power(&a);
-        return Ok(OptimizeResult { assignment: a, power });
-    }
-    let seed = options.seed ^ 0xBAD_C0DE;
-    let mut probe_rng = StdRng::seed_from_u64(stream_seed(seed, 0));
-    let mut probe_scratch = RestartScratch::new(problem);
-    let mut probe_min = f64::INFINITY;
-    let mut probe_max = f64::NEG_INFINITY;
-    for _ in 0..32.max(n) {
-        draw_feasible(problem, &mut probe_rng, &mut probe_scratch, false);
-        let p = problem.power(&probe_scratch.current);
-        probe_min = probe_min.min(p);
-        probe_max = probe_max.max(p);
-    }
-    let spread = (probe_max - probe_min).max(probe_max.abs() * 1e-6 + f64::MIN_POSITIVE);
-    let t_start = 0.5 * spread;
-    let cooling = (1e-5f64).powf(1.0 / options.iterations as f64);
-
-    let run_restart = |scratch: &mut RestartScratch, restart: usize| -> OptimizeResult {
-        let mut rng = StdRng::seed_from_u64(stream_seed(seed, restart as u64 + 1));
-        draw_feasible(problem, &mut rng, scratch, false);
-        let mut current_power = problem.power(&scratch.current);
-        scratch.best.clone_from(&scratch.current);
-        let mut best_power = current_power;
-        let mut temperature = t_start;
-        let mut accepts_since_resync = 0u32;
-        for _ in 0..options.iterations {
-            let (a, b) = distinct_pair(&mut rng, free_lines);
-            // Maximising: a non-negative delta is a free accept, a
-            // power *drop* must win the Metropolis draw.
-            let delta = problem.swap_lines_delta(&scratch.current, a, b);
-            if delta >= 0.0 || rng.gen::<f64>() < (delta / temperature).exp() {
-                scratch.current.swap_lines(a, b);
-                current_power += delta;
-                accepts_since_resync += 1;
-                if accepts_since_resync >= 1024 {
-                    current_power = problem.power(&scratch.current);
-                    accepts_since_resync = 0;
-                }
-                if current_power > best_power {
-                    scratch.best.clone_from(&scratch.current);
-                    best_power = current_power;
-                }
-            }
-            temperature *= cooling;
-        }
-        OptimizeResult {
-            assignment: scratch.best.clone(),
-            power: problem.power(&scratch.best),
-        }
-    };
-    let locals = fan_out(
-        options.restarts,
-        options.worker_count(),
-        || RestartScratch::new(problem),
-        run_restart,
-    );
-    // Restart-order reduction, strict `>`: earliest restart wins ties.
-    Ok(locals
-        .into_iter()
-        .reduce(|incumbent, candidate| {
-            if candidate.power > incumbent.power {
-                candidate
-            } else {
-                incumbent
-            }
-        })
-        .expect("restarts >= 1 was checked"))
+    let objective = Negated(PowerObjective::new(problem));
+    let tel = TelemetryHandle::disabled();
+    let worst = search(problem, &objective, options, &WORST_CASE, &tel)?;
+    Ok(OptimizeResult {
+        power: -worst.power,
+        ..worst
+    })
 }
 
 /// Mean power over `samples` uniformly random permutations *without*
@@ -1193,6 +1140,41 @@ mod tests {
         let w4 = worst_case(&p, &par).unwrap();
         assert_eq!(w1.assignment, w4.assignment);
         assert_eq!(w1.power.to_bits(), w4.power.to_bits());
+    }
+
+    #[test]
+    fn calibrated_event_reports_the_pool_that_runs() {
+        // Regression: the event used to record the requested `threads`,
+        // but the pool is also capped at the available parallelism and
+        // at the restart count.
+        use std::sync::{Arc, Mutex};
+        use tsv3d_telemetry::{Event, Sink};
+
+        struct ThreadsCapture(Arc<Mutex<Vec<Value>>>);
+        impl Sink for ThreadsCapture {
+            fn emit(&self, event: &Event<'_>) {
+                if event.name == "anneal.calibrated" {
+                    let threads = event.fields.iter().find(|(key, _)| *key == "threads");
+                    let mut captured = self.0.lock().unwrap();
+                    captured.extend(threads.map(|(_, v)| v.clone()));
+                }
+            }
+        }
+
+        let p = gaussian_problem(2, 3);
+        let captured = Arc::new(Mutex::new(Vec::new()));
+        let tel = TelemetryHandle::with_sink(Box::new(ThreadsCapture(Arc::clone(&captured))));
+        let opts = AnnealOptions {
+            iterations: 200,
+            restarts: 3,
+            seed: 1,
+            threads: 8,
+        };
+        anneal_with_telemetry(&p, &opts, &tel).unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let running = 8.min(cores).min(3);
+        assert_eq!(opts.worker_count(), running);
+        assert_eq!(*captured.lock().unwrap(), [Value::from(running)]);
     }
 
     #[test]

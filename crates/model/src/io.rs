@@ -47,18 +47,26 @@ pub fn matrix_to_csv(matrix: &Matrix) -> String {
 /// # Errors
 ///
 /// [`ModelError::MatrixParse`] when the input is not a square numeric
-/// matrix.
+/// matrix, or when a cell is `NaN` or infinite (which Rust's float
+/// parser accepts). Negative entries are legal: `ΔC` has them.
 pub fn matrix_from_csv(csv: &str) -> Result<Matrix, ModelError> {
     let rows: Vec<Vec<f64>> = csv
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty())
-        .map(|line| {
+        .enumerate()
+        .map(|(i, line)| {
             line.split(',')
-                .map(|cell| {
-                    cell.trim().parse::<f64>().map_err(|_| ModelError::MatrixParse {
-                        detail: format!("cannot parse `{}` as a number", cell.trim()),
-                    })
+                .map(str::trim)
+                .enumerate()
+                .map(|(j, cell)| match cell.parse::<f64>() {
+                    Ok(value) if value.is_finite() => Ok(value),
+                    Ok(_) => Err(ModelError::MatrixParse {
+                        detail: format!("cell ({i}, {j}) `{cell}` is not finite"),
+                    }),
+                    Err(_) => Err(ModelError::MatrixParse {
+                        detail: format!("cannot parse `{cell}` as a number"),
+                    }),
                 })
                 .collect()
         })
@@ -206,6 +214,19 @@ mod tests {
         assert!(e.to_string().contains("row 1"));
         let e = matrix_from_csv("1,x\n3,4").unwrap_err();
         assert!(e.to_string().contains("`x`"));
+    }
+
+    #[test]
+    fn csv_rejects_non_finite_cells() {
+        for cell in ["NaN", "inf", "-inf"] {
+            let e = matrix_from_csv(&format!("1,-2e-16\n-2e-16, {cell} \n")).unwrap_err();
+            assert!(matches!(e, ModelError::MatrixParse { .. }), "{cell}");
+            let message = e.to_string();
+            assert!(message.contains(&format!("cell (1, 1) `{cell}`")), "{message}");
+        }
+        // Negative entries (ΔC) stay legal.
+        let m = matrix_from_csv("1,-2e-16\n-2e-16,3").unwrap();
+        assert_eq!(m[(0, 1)], -2e-16);
     }
 
     #[test]
