@@ -182,7 +182,7 @@ pub fn cases() -> Vec<BenchCase> {
         BenchCase {
             name: "bnb_search_3x3",
             area: "core",
-            about: "branch-and-bound search (capped at 300k nodes) on a 3x3 sequential problem",
+            about: "branch-and-bound proof on a 3x3 sequential problem (~77k nodes; the 300k-node cap is only a guard)",
             setup: |_cfg| {
                 let problem = sequential_problem(3, 0.02, 8_000, 77);
                 let options = optimize::BnbOptions {

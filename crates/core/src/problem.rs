@@ -75,19 +75,19 @@ pub struct AssignmentProblem {
 /// [`power`]: AssignmentProblem::power
 /// [`crosstalk_activity`]: AssignmentProblem::crosstalk_activity
 #[derive(Debug, Clone)]
-struct FlatTables {
+pub(crate) struct FlatTables {
     /// Bundle size (rows/cols of the square tables).
-    n: usize,
+    pub(crate) n: usize,
     /// Line-indexed rest capacitance `C_R`, row-major `n×n`.
-    c_r: Vec<f64>,
+    pub(crate) c_r: Vec<f64>,
     /// Line-indexed capacitance slope `ΔC`, row-major `n×n`.
-    delta_c: Vec<f64>,
+    pub(crate) delta_c: Vec<f64>,
     /// Bit-indexed coupling switching `Tc`, row-major `n×n`.
-    tc: Vec<f64>,
+    pub(crate) tc: Vec<f64>,
     /// Bit-indexed joint toggle probability, row-major `n×n`.
     joint: Vec<f64>,
     /// Bit-indexed self switching `Ts` diagonal.
-    ts: Vec<f64>,
+    pub(crate) ts: Vec<f64>,
 }
 
 impl FlatTables {
@@ -281,6 +281,16 @@ impl AssignmentProblem {
     /// The array's linear capacitance model (line-indexed).
     pub fn cap_model(&self) -> &LinearCapModel {
         &self.cap_model
+    }
+
+    /// Row-major coefficient tables, for the crate's search kernels.
+    pub(crate) fn flat(&self) -> &FlatTables {
+        &self.flat
+    }
+
+    /// Bit-indexed `ε = p − ½` (cached [`SwitchingStats::epsilons`]).
+    pub(crate) fn eps(&self) -> &[f64] {
+        &self.eps
     }
 
     /// Whether bit `i` may be transmitted inverted.

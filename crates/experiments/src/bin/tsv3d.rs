@@ -260,27 +260,29 @@ fn solve(
     problem: &AssignmentProblem,
     method: Method,
     tel: &TelemetryHandle,
-) -> Result<(SignedPerm, &'static str), String> {
+) -> Result<(SignedPerm, String), String> {
     let _span = tel.span("cli.solve");
     match method {
         Method::Anneal => optimize::anneal_with_telemetry(problem, &common::anneal_options(), tel)
-            .map(|r| (r.assignment, "simulated annealing"))
+            .map(|r| (r.assignment, "simulated annealing".into()))
             .map_err(|e| e.to_string()),
         Method::Bnb => optimize::branch_and_bound_with_telemetry(problem, &Default::default(), tel)
             .map(|o| {
-                (
-                    o.result.assignment,
-                    if o.proven_optimal {
-                        "branch & bound (proven optimal)"
-                    } else {
-                        "branch & bound (budget exhausted)"
-                    },
-                )
+                let name = if o.proven_optimal {
+                    "branch & bound (proven optimal)".into()
+                } else {
+                    format!(
+                        "branch & bound (budget exhausted; certified gap {:.3} % over lower bound {:.4e})",
+                        (o.result.power - o.lower_bound) / o.lower_bound * 100.0,
+                        o.lower_bound
+                    )
+                };
+                (o.result.assignment, name)
             })
             .map_err(|e| e.to_string()),
-        Method::Greedy => Ok((optimize::greedy_two_opt(problem).assignment, "greedy 2-opt")),
-        Method::Spiral => Ok((systematic::spiral(problem), "Spiral (systematic)")),
-        Method::Sawtooth => Ok((systematic::sawtooth(problem), "Sawtooth (systematic)")),
+        Method::Greedy => Ok((optimize::greedy_two_opt(problem).assignment, "greedy 2-opt".into())),
+        Method::Spiral => Ok((systematic::spiral(problem), "Spiral (systematic)".into())),
+        Method::Sawtooth => Ok((systematic::sawtooth(problem), "Sawtooth (systematic)".into())),
     }
 }
 
@@ -386,7 +388,7 @@ fn run(opts: &Options, tel: &TelemetryHandle) -> Result<(), String> {
                 .map_err(|e| e.to_string())?
             };
             let (assignment, method_name) = solve(&problem, opts.method, tel)?;
-            report_assignment(opts, &array, &problem, &assignment, method_name, tel)
+            report_assignment(opts, &array, &problem, &assignment, &method_name, tel)
         }
         Command::Eval => {
             let text = opts

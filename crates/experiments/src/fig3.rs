@@ -88,6 +88,7 @@ pub fn point_with_telemetry(
                 ("rho", Value::from(rho)),
                 ("anneal_power", Value::from(optimal)),
                 ("bnb_power", Value::from(bnb.result.power)),
+                ("bnb_lower_bound", Value::from(bnb.lower_bound)),
                 ("proven_optimal", Value::from(bnb.proven_optimal)),
             ],
         );
